@@ -7,10 +7,7 @@ Three sections:
   compiled from source) versus warm (the same sweep read back through a
   persistent artifact store by a fresh-memory cache).  ``warm_speedup``
   is the headline, gated at 3x — the same claim ``BENCH_serve.json``
-  holds for the store, restated in compiler terms.  The section also
-  reports the front-end node statistics the hash-consing build contexts
-  collect (created nodes, cons hits, hit rate) summed over the sweep's
-  builds.
+  holds for the store, restated in compiler terms.
 * **memory** — peak RSS of a subprocess that does nothing but the cold
   sweep: a clean ceiling unpolluted by the pytest harness, gated
   absolutely at :data:`RSS_CEILING_MB`.
@@ -48,6 +45,7 @@ from repro.evaluation.parallel import (
     reset_payload_stats,
     supervised_map,
 )
+from repro.compiler import CompileOptions
 from repro.evaluation.runner import _compile_cached
 from repro.fuzz.generator import generate_recipe
 from repro.partition.strategies import Strategy
@@ -83,29 +81,13 @@ PAYLOAD_GROUP = 16
 
 
 # ---------------------------------------------------------------------
-# Compile throughput: cold vs warm programs/s + node statistics
+# Compile throughput: cold vs warm programs/s
 # ---------------------------------------------------------------------
 def _sweep(cache):
     for name in WORKLOADS:
         workload = get_workload(name)
         for strategy in STRATEGIES:
-            _compile_cached(workload, strategy, None, cache)
-
-
-def _node_totals():
-    """Front-end node statistics summed over one build of each sweep
-    workload (every build runs under its own hash-consing context)."""
-    created = hits = 0
-    for name in WORKLOADS:
-        stats = get_workload(name).build().node_stats
-        created += stats["nodes_created"]
-        hits += stats["cons_hits"]
-    total = created + hits
-    return {
-        "created": created,
-        "cons_hits": hits,
-        "cons_hit_rate": round(hits / total, 4) if total else 0.0,
-    }
+            _compile_cached(workload, CompileOptions(strategy=strategy), cache)
 
 
 def bench_compile(root):
@@ -136,7 +118,6 @@ def bench_compile(root):
         "cold_programs_per_s": round(programs / cold_s, 2),
         "warm_programs_per_s": round(programs / warm_s, 2),
         "warm_speedup": round(cold_s / warm_s, 3),
-        "nodes": _node_totals(),
     }
 
 
@@ -261,13 +242,11 @@ def main():
 def test_compiler_trajectory():
     """Regenerate the JSON and hold the compiler claims: warm store
     reads beat cold compiles by at least 3x, the cold sweep fits under
-    the RSS ceiling, hash-consing sees real sharing, lightened dispatch
-    payloads stay far below the inline-recipe baseline, and neither
-    committed ratio has regressed."""
+    the RSS ceiling, lightened dispatch payloads stay far below the
+    inline-recipe baseline, and neither committed ratio has regressed."""
     baseline = json.loads(OUTPUT.read_text()) if OUTPUT.exists() else None
     report = main()
     assert report["compile"]["warm_speedup"] >= WARM_SPEEDUP_GATE
-    assert report["compile"]["nodes"]["cons_hit_rate"] > 0.0
     assert report["memory"]["peak_rss_mb"] <= RSS_CEILING_MB
     assert report["payload"]["light_task_bytes"] < report["payload"]["fat_task_bytes"]
     assert report["payload"]["reduction_percent"] >= PAYLOAD_REDUCTION_GATE

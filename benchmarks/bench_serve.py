@@ -41,6 +41,7 @@ import tempfile
 import time
 from pathlib import Path
 
+from repro.compiler import CompileOptions
 from repro.evaluation.runner import _compile_cached
 from repro.partition.strategies import Strategy
 from repro.serve.client import ServeClient
@@ -77,7 +78,7 @@ def _sweep(cache):
     for name in STORE_WORKLOADS:
         workload = get_workload(name)
         for strategy in STORE_STRATEGIES:
-            _compile_cached(workload, strategy, None, cache)
+            _compile_cached(workload, CompileOptions(strategy=strategy), cache)
 
 
 def bench_store(root):

@@ -47,8 +47,8 @@ from repro.compiler import compile_module
 from repro.evaluation.parallel import (
     batch_map,
     default_jobs,
-    parallel_map,
     resolve_jobs,
+    supervised_map,
 )
 from repro.evaluation.tables import table3
 from repro.partition.strategies import Strategy
@@ -186,17 +186,22 @@ def _batch_campaign(jobs):
         [rng.uniform(-1.0, 1.0) for _ in range(taps + samples - 1)]
         for _ in range(BATCH_INSTANCES)
     ]
-    tasks = [(compiled.program, {"x": row}, ("y",)) for row in rows]
+    program = compiled.program
+    tasks = [({"x": row}, ("y",)) for row in rows]
 
-    batched = batch_map(tasks, lanes=BATCH_INSTANCES)
-    scalar = batch_map(tasks, backend="jit")
+    batched = batch_map(program, tasks, lanes=BATCH_INSTANCES)
+    scalar = batch_map(program, tasks, backend="jit")
     for lane, (b, s) in enumerate(zip(batched, scalar)):
         assert b.error is None and s.error is None, lane
         assert b.outputs == s.outputs, "lane %d diverged from jit" % lane
         assert b.result.cycles == s.result.cycles, lane
 
-    batch_s = _best_wall_clock(lambda: batch_map(tasks, lanes=BATCH_INSTANCES))
-    jit_serial_s = _best_wall_clock(lambda: batch_map(tasks, backend="jit"))
+    batch_s = _best_wall_clock(
+        lambda: batch_map(program, tasks, lanes=BATCH_INSTANCES)
+    )
+    jit_serial_s = _best_wall_clock(
+        lambda: batch_map(program, tasks, backend="jit")
+    )
     section = {
         "workload": "fir_%d_%d" % BATCH_FIR,
         "instances": BATCH_INSTANCES,
@@ -209,8 +214,9 @@ def _batch_campaign(jobs):
     }
     if jobs > 1:
         jit_jobs_s = _best_wall_clock(
-            lambda: parallel_map(
-                _jit_campaign_task, [(row,) for row in rows], jobs=jobs
+            lambda: supervised_map(
+                _jit_campaign_task, [(row,) for row in rows], jobs=jobs,
+                retries=0,
             )
         )
         section["jit_jobs_s"] = round(jit_jobs_s, 4)

@@ -124,7 +124,9 @@ def _profile(workload, cache=None, partitioner="greedy"):
     from repro.evaluation.runner import _compile_cached
 
     compiled = _compile_cached(
-        workload, Strategy.SINGLE_BANK, None, cache, partitioner=partitioner
+        workload,
+        CompileOptions(strategy=Strategy.SINGLE_BANK, partitioner=partitioner),
+        cache,
     )
     simulator = Simulator(compiled.program)
     result = simulator.run()
@@ -133,33 +135,23 @@ def _profile(workload, cache=None, partitioner="greedy"):
 
 def _run_one(workload, strategy, software_pipelining=False, backend="interp",
              partitioner="greedy", cache=None):
-    if software_pipelining:
-        # Pipelined schedules are not part of the persistent cache key
-        # (options_signature covers them, but the in-memory runner key
-        # does not), so compile them directly rather than risk serving
-        # a non-pipelined artifact.
-        cache = None
+    from repro.evaluation.runner import _compile_cached
+
     counts = (
         _profile(workload, cache=cache, partitioner=partitioner)
         if strategy.needs_profile
         else None
     )
-    if cache is None:
-        compiled = compile_module(
-            workload.build(),
-            CompileOptions(
-                strategy=strategy,
-                profile_counts=counts,
-                software_pipelining=software_pipelining,
-                partitioner=partitioner,
-            ),
-        )
-    else:
-        from repro.evaluation.runner import _compile_cached
-
-        compiled = _compile_cached(
-            workload, strategy, counts, cache, partitioner=partitioner
-        )
+    compiled = _compile_cached(
+        workload,
+        CompileOptions(
+            strategy=strategy,
+            profile_counts=counts,
+            software_pipelining=software_pipelining,
+            partitioner=partitioner,
+        ),
+        cache,
+    )
     simulator = make_simulator(compiled.program, backend=backend)
     result = simulator.run()
     workload.verify(simulator)

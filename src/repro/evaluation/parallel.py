@@ -3,34 +3,33 @@
 The figure/table regenerations are embarrassingly parallel at the
 (workload, configuration) granularity — every pair is an independent
 compile + simulate + verify pipeline.  This module fans those pairs out
-over a :class:`concurrent.futures.ProcessPoolExecutor`:
+over worker processes:
 
 * tasks are shipped as (workload name, strategy name, backend) triples —
   workloads rebuild deterministically from the registry, so nothing
   heavyweight crosses the process boundary going in, and only a plain
   :class:`~repro.evaluation.runner.Measurement` comes back;
-* every worker process keeps a content-keyed compiled-program cache
-  (:func:`repro.evaluation.runner.module_fingerprint`-keyed), so the
-  baseline compile a profile-driven configuration needs is shared with
-  the baseline measurement whenever both land in the same worker;
+* every worker process reads through its per-process compile cache
+  (:func:`repro.serve.store.process_compile_cache`), so the baseline
+  compile a profile-driven configuration needs is shared with the
+  baseline measurement whenever both land in the same worker;
 * ``jobs=None`` (or ``<= 1``) runs the exact same code path serially in
   the calling process — results are bit-identical either way, because
   every pipeline stage is deterministic.
 
 Two fan-out primitives live here:
 
-* :func:`parallel_map` — the fire-and-forget pool for quick sweeps.
-  Worker failures are re-raised *cleanly* in the parent: simulator
-  faults come back as the structured :mod:`repro.sim.errors` taxonomy
-  (category, pc, backend, seed attached; the raw worker traceback on
-  ``remote_traceback``, not vomited to the console), and a
-  ``KeyboardInterrupt`` anywhere terminates the whole pool instead of
-  orphaning workers;
-* :func:`supervised_map` — the resilient runner long campaigns (fault
-  injection, fuzzing, sweeps) use: per-task timeouts, bounded retry
-  with exponential backoff, dead-worker replacement, checkpoint/resume
-  through a :class:`Journal`, and degradation to serial execution when
-  workers keep dying.
+* :func:`supervised_map` — the one process executor: per-task
+  timeouts, bounded retry with exponential backoff, dead-worker
+  replacement, checkpoint/resume through a :class:`Journal`, and
+  degradation to serial execution when workers keep dying.  Worker
+  failures re-raise *cleanly* in the parent: simulator faults come back
+  as the structured :mod:`repro.sim.errors` taxonomy (category, pc,
+  backend, seed attached; the raw worker traceback on
+  ``remote_traceback``), and a ``KeyboardInterrupt`` anywhere terminates
+  every worker.  Quick sweeps call it with ``retries=0``;
+* :func:`batch_map` — instances of one compiled program as lockstep
+  lanes of the ``batch`` simulator backend.
 
 The worker protocol is **hash-first**: task tuples carry names, seeds,
 and content digests — never built modules or compiled programs — and
@@ -46,7 +45,6 @@ import os
 import pickle
 import time
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 
 from repro.evaluation.runner import (
     WorkloadEvaluation,
@@ -57,9 +55,6 @@ from repro.obs.core import NULL_RECORDER
 from repro.partition.strategies import Strategy
 from repro.sim.errors import describe_fault, from_description
 from repro.sim.tracing import collect_block_counts
-
-#: per-process content-keyed compiled-program cache (worker side)
-_PROCESS_CACHE = {}
 
 #: cumulative supervised-dispatch payload accounting (parent side);
 #: read with :func:`payload_stats`, cleared with :func:`reset_payload_stats`
@@ -223,80 +218,9 @@ def _raise_remote(description, task_key=None, attempts=1):
     raise error
 
 
-def _guarded_call(pair):
-    """Worker shim for :func:`parallel_map`: never lets an exception
-    escape into the pool machinery — failures come back as data."""
-    fn, arguments = pair
-    try:
-        return ("ok", fn(*arguments))
-    except BaseException as exc:  # noqa: BLE001 — shipped to the parent
-        return ("error", describe_fault(exc))
-
-
-def _terminate_pool(pool):
-    """Hard-stop a :class:`ProcessPoolExecutor`: cancel queued work and
-    terminate the worker processes so a ``KeyboardInterrupt`` (or any
-    abort) never leaves orphans behind."""
-    pool.shutdown(wait=False, cancel_futures=True)
-    processes = getattr(pool, "_processes", None) or {}
-    for process in list(processes.values()):
-        process.terminate()
-    for process in list(processes.values()):
-        process.join(timeout=5)
-
-
-def parallel_map(fn, argument_tuples, jobs=None):
-    """Map a picklable top-level *fn* over argument tuples.
-
-    The shared fan-out primitive for every embarrassingly parallel sweep
-    (figure/table regeneration, the fuzz campaign): ``jobs`` in
-    (None, 0, 1) runs serially in-process, anything larger fans out over
-    a :class:`ProcessPoolExecutor`.  Results come back in input order
-    either way, so callers are oblivious to the execution mode.
-
-    Worker failures re-raise cleanly in the parent (structured sim
-    taxonomy or :class:`TaskError`, never a raw remote traceback), and
-    any abort — including ``KeyboardInterrupt`` — terminates the pool's
-    worker processes before propagating.
-    """
-    argument_tuples = list(argument_tuples)
-    if not jobs or jobs == 1 or len(argument_tuples) <= 1:
-        return [fn(*arguments) for arguments in argument_tuples]
-    pool = ProcessPoolExecutor(max_workers=jobs)
-    try:
-        outcomes = list(
-            pool.map(_guarded_call, [(fn, a) for a in argument_tuples])
-        )
-    except BaseException:
-        _terminate_pool(pool)
-        raise
-    pool.shutdown()
-    results = []
-    for status, payload in outcomes:
-        if status == "error":
-            _raise_remote(payload)
-        results.append(payload)
-    return results
-
-
 # ----------------------------------------------------------------------
 # Batched fan-out (lockstep lanes instead of processes)
 # ----------------------------------------------------------------------
-def program_fingerprint(program):
-    """Content hash of a compiled program: the formatted instruction
-    stream plus function entries — what determines whether two tasks can
-    share one lockstep batch.  Deterministic compiles of the same module
-    under the same strategy fingerprint identically, so campaign tasks
-    group even when each built its program independently."""
-    import hashlib
-
-    digest = hashlib.sha256()
-    for instruction in program.instructions:
-        digest.update(repr(instruction).encode())
-    digest.update(repr(sorted(program.function_entries.items())).encode())
-    return digest.hexdigest()
-
-
 class BatchTaskResult:
     """Outcome of one :func:`batch_map` task.
 
@@ -314,20 +238,15 @@ class BatchTaskResult:
         self.error = error
 
 
-def batch_map(tasks, lanes=64, backend="batch", observe=NULL_RECORDER):
-    """Run simulation *tasks*, batching compatible ones into lockstep lanes.
+def batch_map(program, tasks, lanes=64, backend="batch",
+              observe=NULL_RECORDER):
+    """Run instances of one compiled *program* as lockstep lanes.
 
-    The third fan-out primitive, sibling to :func:`parallel_map` (process
-    pool) and :func:`supervised_map` (resilient pool): instead of paying
-    one process and one simulator per instance, tasks whose compiled
-    programs share a content fingerprint execute together on the
-    :class:`~repro.sim.batchsim.BatchSimulator`, up to *lanes* instances
-    per lockstep slab.  Each task is a ``(program, writes, reads)``
-    triple:
+    The lockstep sibling of :func:`supervised_map`: instead of paying
+    one process and one simulator per instance, the instances execute
+    together on the :class:`~repro.sim.batchsim.BatchSimulator`, up to
+    *lanes* per lockstep slab.  Each task is a ``(writes, reads)`` pair:
 
-    * ``program`` — a compiled machine program (tasks group by
-      :func:`program_fingerprint`, so identical programs batch no matter
-      how many times they were compiled);
     * ``writes`` — ``{global name: value or values}`` applied to that
       instance before the run (its per-instance inputs);
     * ``reads`` — iterable of global names to read back after the run.
@@ -338,56 +257,42 @@ def batch_map(tasks, lanes=64, backend="batch", observe=NULL_RECORDER):
     backend's contract, which is what the speedup benchmark and the
     differential tests compare against.
     """
-    from repro.sim.fastsim import make_simulator
-
-    tasks = [(program, dict(writes or {}), tuple(reads))
-             for program, writes, reads in tasks]
-    results = [None] * len(tasks)
+    tasks = [(dict(writes or {}), tuple(reads)) for writes, reads in tasks]
+    results = []
     if backend != "batch":
-        for index, (program, writes, reads) in enumerate(tasks):
+        from repro.sim.fastsim import make_simulator
+
+        for writes, reads in tasks:
             simulator = make_simulator(program, backend=backend)
             for name, values in writes.items():
                 simulator.write_global(name, values)
             try:
                 result = simulator.run()
             except Exception as error:  # parity with LaneOutcome.error
-                results[index] = BatchTaskResult(error=error)
+                results.append(BatchTaskResult(error=error))
                 continue
             outputs = {name: simulator.read_global(name) for name in reads}
-            results[index] = BatchTaskResult(result, outputs)
+            results.append(BatchTaskResult(result, outputs))
         return results
 
     from repro.sim.batchsim import BatchSimulator
 
-    groups = {}
-    fingerprints = {}
-    for index, (program, _writes, _reads) in enumerate(tasks):
-        fingerprint = fingerprints.get(id(program))
-        if fingerprint is None:
-            fingerprint = program_fingerprint(program)
-            fingerprints[id(program)] = fingerprint
-        groups.setdefault(fingerprint, (program, []))[1].append(index)
-    observe.counter("batch.groups", len(groups))
-    for program, members in groups.values():
-        for start in range(0, len(members), lanes):
-            slab = members[start : start + lanes]
-            observe.counter("batch.slabs")
-            observe.counter("batch.instances", len(slab))
-            simulator = BatchSimulator(program, lanes=len(slab))
-            for lane, index in enumerate(slab):
-                for name, values in tasks[index][1].items():
-                    simulator.write_global_lane(lane, name, values)
-            for lane, outcome in enumerate(simulator.run_batch()):
-                index = slab[lane]
-                reads = tasks[index][2]
-                if outcome.error is not None:
-                    results[index] = BatchTaskResult(error=outcome.error)
-                else:
-                    outputs = {
-                        name: outcome.state.read_global(name)
-                        for name in reads
-                    }
-                    results[index] = BatchTaskResult(outcome.result, outputs)
+    for start in range(0, len(tasks), lanes):
+        slab = tasks[start : start + lanes]
+        observe.counter("batch.slabs")
+        observe.counter("batch.instances", len(slab))
+        simulator = BatchSimulator(program, lanes=len(slab))
+        for lane, (writes, _reads) in enumerate(slab):
+            for name, values in writes.items():
+                simulator.write_global_lane(lane, name, values)
+        for (_writes, reads), outcome in zip(slab, simulator.run_batch()):
+            if outcome.error is not None:
+                results.append(BatchTaskResult(error=outcome.error))
+            else:
+                outputs = {
+                    name: outcome.state.read_global(name) for name in reads
+                }
+                results.append(BatchTaskResult(outcome.result, outputs))
     return results
 
 
@@ -832,8 +737,9 @@ def _run_supervised_pool(fn, arguments, pending, results, jobs, timeouts,
                 attempt = task[1] if task is not None else 1
                 fail_task(
                     index, attempt, TaskError,
-                    "failed (%s)" % payload.get("kind"), payload,
-                    allow_retry=retry_errors,
+                    "failed (%s: %s)"
+                    % (payload.get("kind"), payload.get("message")),
+                    payload, allow_retry=retry_errors,
                 )
             now = time.monotonic()
             for worker in list(workers):
@@ -857,7 +763,8 @@ def supervised_map(fn, argument_tuples, jobs=None, timeout=None, retries=2,
                    backoff=0.25, journal=None, retry_errors=False,
                    degrade_after=None, log=None, observe=NULL_RECORDER,
                    on_error="raise"):
-    """Resilient :func:`parallel_map`: supervise every task to completion.
+    """Map a picklable top-level *fn* over argument tuples, supervising
+    every task to completion.
 
     The campaign runner behind ``repro faults`` (and, via the
     ``--journal`` options, the fuzzer, sweeps, and the serving
@@ -895,7 +802,7 @@ def supervised_map(fn, argument_tuples, jobs=None, timeout=None, retries=2,
     * ``KeyboardInterrupt`` — in the parent or raised by a task —
       terminates every worker, flushes the journal, and re-raises.
 
-    Returns results in input order, like :func:`parallel_map`.
+    Returns results in input order whatever the execution mode.
     """
     if on_error not in ("raise", "return"):
         raise ValueError(
@@ -964,26 +871,15 @@ def _profile_counts(workload, backend, cache):
     return collect_block_counts(compiled.program, result)
 
 
-def _worker_cache(cache_dir):
-    """The compile cache a worker (or the serial leg) reads through:
-    the plain per-process dict without a *cache_dir*, the persistent
-    artifact-store tier (:func:`repro.serve.store.process_compile_cache`,
-    fronted by the same per-process dict) with one."""
-    if cache_dir is None:
-        return _PROCESS_CACHE
-    from repro.serve.store import process_compile_cache
-
-    return process_compile_cache(cache_dir, memory=_PROCESS_CACHE)
-
-
 def _measure_pair(name, strategy_name, backend, verify, partitioner="greedy",
                   cache_dir=None):
     """Worker entry point: one (workload, strategy) measurement."""
+    from repro.serve.store import process_compile_cache
     from repro.workloads.registry import get_workload
 
     workload = get_workload(name)
     strategy = Strategy[strategy_name]
-    cache = _worker_cache(cache_dir)
+    cache = process_compile_cache(cache_dir)
     counts = None
     if strategy.needs_profile:
         counts = _profile_counts(workload, backend, cache)
@@ -1014,7 +910,9 @@ def evaluate_workloads(table, names, strategies, jobs=None, backend="interp",
     if jobs is not None and jobs < 0:
         raise ValueError("jobs must be >= 0, got %d" % jobs)
     if not jobs or jobs == 1:
-        cache = {} if cache_dir is None else _worker_cache(cache_dir)
+        from repro.serve.store import process_compile_cache
+
+        cache = {} if cache_dir is None else process_compile_cache(cache_dir)
         return {
             name: evaluate_workload(
                 table[name], strategies, verify=verify, backend=backend,
@@ -1036,7 +934,9 @@ def evaluate_workloads(table, names, strategies, jobs=None, backend="interp",
             )
 
     collected = {name: {} for name in names}
-    for name, measurement in parallel_map(_measure_pair, tasks, jobs=jobs):
+    for name, measurement in supervised_map(
+        _measure_pair, tasks, jobs=jobs, retries=0
+    ):
         collected[name][measurement.strategy] = measurement
 
     return {

@@ -7,7 +7,7 @@ the baseline binary first and feeds block execution counts to the
 allocation pass as edge weights.
 """
 
-from repro.compiler import compile_module
+from repro.compiler import CompileOptions, compile_module
 from repro.cost.model import CostModel
 from repro.partition.strategies import Strategy
 from repro.sim.fastsim import make_simulator
@@ -106,33 +106,27 @@ def module_fingerprint(module):
     return digest.hexdigest()
 
 
-def _compile_cached(workload, strategy, profile_counts, cache,
-                    partitioner="greedy"):
-    """Compile *workload*, consulting the content-keyed *cache*.
+def _compile_cached(workload, options, cache):
+    """Compile *workload* under *options* (a
+    :class:`~repro.compiler.pipeline.CompileOptions`), consulting the
+    content-keyed *cache*.
 
-    The key is (module content hash, strategy, frozen profile counts,
-    partitioner), so any two identical builds share one compile.
-    Compiled programs are immutable under simulation (each simulator run
-    owns fresh memory), so cache hits skip the whole compile pipeline.
+    The key is :func:`repro.serve.store.compile_key` — module content
+    hash x every output-relevant option x frozen profile counts — so any
+    two identical builds share one compile.  Compiled programs are
+    immutable under simulation (each simulator run owns fresh memory),
+    so cache hits skip the whole compile pipeline.  ``cache=None``
+    compiles directly.
     """
-    if cache is None:
-        return compile_module(
-            workload.build(), strategy=strategy,
-            profile_counts=profile_counts, partitioner=partitioner,
-        )
     module = workload.build()
-    profile_key = (
-        None
-        if profile_counts is None
-        else tuple(sorted(profile_counts.items()))
-    )
-    key = (module_fingerprint(module), strategy, profile_key, partitioner)
+    if cache is None:
+        return compile_module(module, options)
+    from repro.serve.store import compile_key  # repro.serve imports us
+
+    key = compile_key(module_fingerprint(module), options)
     compiled = cache.get(key)
     if compiled is None:
-        compiled = compile_module(
-            module, strategy=strategy, profile_counts=profile_counts,
-            partitioner=partitioner,
-        )
+        compiled = compile_module(module, options)
         cache[key] = compiled
     return compiled
 
@@ -140,7 +134,12 @@ def _compile_cached(workload, strategy, profile_counts, cache,
 def _run_once(workload, strategy, profile_counts=None, verify=True,
               backend="interp", cache=None, partitioner="greedy"):
     compiled = _compile_cached(
-        workload, strategy, profile_counts, cache, partitioner=partitioner
+        workload,
+        CompileOptions(
+            strategy=strategy, profile_counts=profile_counts,
+            partitioner=partitioner,
+        ),
+        cache,
     )
     simulator = make_simulator(compiled.program, backend=backend)
     result = simulator.run()
@@ -163,8 +162,8 @@ def evaluate_workload(workload, strategies, verify=True, backend="interp",
     ``jit`` — see :mod:`repro.sim.fastsim`); ``partitioner`` the
     interference-graph partitioner the CB-family strategies use
     (:data:`~repro.partition.registry.PARTITIONERS`); ``cache`` is an
-    optional dict used as a content-keyed compiled-program cache shared
-    across evaluations.
+    optional dict (or :class:`~repro.serve.store.CompileCache`) used as
+    a content-keyed compiled-program cache shared across evaluations.
     """
     measurements = {}
     baseline, base_compiled, base_result = _run_once(

@@ -171,6 +171,7 @@ def run_experiment(workload, strategy, seed, backend="interp", events=3,
     with.  Returns a flat JSON-able row consumed by
     :func:`repro.faults.campaign.aggregate`.
     """
+    from repro.compiler import CompileOptions
     from repro.evaluation.runner import _compile_cached
     from repro.sim.tracing import collect_block_counts
 
@@ -181,14 +182,20 @@ def run_experiment(workload, strategy, seed, backend="interp", events=3,
         if counts is None:
             from repro.partition.strategies import Strategy
 
-            baseline = _compile_cached(workload, Strategy.SINGLE_BANK, None, cache)
+            baseline = _compile_cached(
+                workload, CompileOptions(strategy=Strategy.SINGLE_BANK), cache
+            )
             counts = collect_block_counts(
                 baseline.program, make_simulator(baseline.program).run()
             )
             if cache is not None:
                 cache[profile_key] = counts
     compiled = _compile_cached(
-        workload, strategy, counts, cache, partitioner=partitioner
+        workload,
+        CompileOptions(
+            strategy=strategy, profile_counts=counts, partitioner=partitioner
+        ),
+        cache,
     )
     reference_key = (
         "faults-reference", workload.name, strategy.name, backend, partitioner

@@ -105,6 +105,7 @@ def compile_for_job(job, cache):
     compile.  Returns ``(compiled, source)`` where *source* says where
     the final compile came from (``memory``/``store``/``compile``).
     """
+    from repro.compiler import CompileOptions
     from repro.partition.strategies import Strategy
     from repro.sim.fastsim import make_simulator
     from repro.sim.tracing import collect_block_counts
@@ -115,12 +116,21 @@ def compile_for_job(job, cache):
     profile_counts = None
     if strategy.needs_profile:
         baseline = _compile_cached(
-            source, Strategy.SINGLE_BANK, None, cache, partitioner=partitioner
+            source,
+            CompileOptions(
+                strategy=Strategy.SINGLE_BANK, partitioner=partitioner
+            ),
+            cache,
         )
         result = make_simulator(baseline.program).run()
         profile_counts = collect_block_counts(baseline.program, result)
     compiled = _compile_cached(
-        source, strategy, profile_counts, cache, partitioner=partitioner
+        source,
+        CompileOptions(
+            strategy=strategy, profile_counts=profile_counts,
+            partitioner=partitioner,
+        ),
+        cache,
     )
     return compiled, getattr(cache, "last_source", None)
 
@@ -282,13 +292,13 @@ def execute_group(jobs, cache_dir=None, lanes=64):
             }
         else:
             runnable.append(index)
-    tasks = [
-        (compiled.program, jobs[index].get("writes") or {}, reads)
-        for index in runnable
-    ]
+    tasks = [(jobs[index].get("writes") or {}, reads) for index in runnable]
     backend = "batch" if len(jobs) > 1 else jobs[0]["backend"]
     sim_start = time.perf_counter()
-    outcomes = batch_map(tasks, lanes=lanes, backend=backend) if tasks else []
+    outcomes = (
+        batch_map(compiled.program, tasks, lanes=lanes, backend=backend)
+        if tasks else []
+    )
     sim_s = time.perf_counter() - sim_start
     obs = {
         "group": len(jobs),
@@ -322,7 +332,8 @@ def execute_job(job, cache=None, cache_dir=None):
             symbol.name for symbol in compiled.program.module.globals
         )
         outcome = batch_map(
-            [(compiled.program, job.get("writes") or {}, tuple(global_names))],
+            compiled.program,
+            [(job.get("writes") or {}, tuple(global_names))],
             backend=job["backend"],
         )[0]
         obs = {

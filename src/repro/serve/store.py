@@ -1,26 +1,27 @@
 """Persistent content-addressed artifact store for compiled programs.
 
-The in-process compile cache (:func:`repro.evaluation.runner._compile_cached`
-keyed by module fingerprint x strategy x profile x partitioner) dies with
-every process, so campaign and CLI workloads recompile the same programs
-forever.  This module promotes it to disk:
+The in-process compile cache (:func:`repro.evaluation.runner._compile_cached`)
+dies with every process, so campaign and CLI workloads would recompile
+the same programs forever.  This module promotes it to disk:
 
-* :class:`ArtifactStore` — a content-addressed object store.  The key
-  is a JSON-able dict (module fingerprint + the
-  :func:`~repro.compiler.pipeline.options_signature` projection of the
-  compile options + the frozen profile counts); its canonical JSON
-  hashes to the entry id.  Entries are single files written atomically
-  (temp file + ``os.replace``), self-verifying (a header records the
-  SHA-256 of the pickled payload, re-checked on every read — a
-  truncated or bit-flipped entry is deleted and reads as a miss, never
-  as a wrong program), and evicted least-recently-used against a byte
-  cap.
+* :func:`compile_key` — the one compile-cache key: module fingerprint x
+  the :func:`~repro.compiler.pipeline.options_signature` projection of
+  the compile options x the frozen profile counts.  It is a hashable
+  tuple, so plain dicts, the memory tier and the store all index by the
+  same value.
+* :class:`ArtifactStore` — a content-addressed object store.  A key's
+  canonical JSON hashes to the entry id.  Entries are single files
+  written atomically (temp file + ``os.replace``), self-verifying (a
+  header records the SHA-256 of the pickled payload, re-checked on every
+  read — a truncated or bit-flipped entry is deleted and reads as a
+  miss, never as a wrong program), and evicted least-recently-used
+  against a byte cap.
 * :class:`CompileCache` — the tier the evaluation paths consume: an
   in-memory dict in front of an optional :class:`ArtifactStore`.  It
-  speaks the same ``get(key)`` / ``cache[key] = value`` protocol as the
-  plain dicts :func:`~repro.evaluation.runner._compile_cached` always
-  used, so every caller (serial evaluation, ``parallel_map`` workers,
-  the serve worker pool) reads through the store by construction.
+  speaks the same ``get(key)`` / ``cache[key] = value`` protocol as a
+  plain dict, so every caller (serial evaluation, ``supervised_map``
+  workers, the serve worker pool) reads through the store by
+  construction.
 
 Concurrent writers are safe by design: two processes racing on one key
 both write a temp file and ``os.replace`` it into place — the loser's
@@ -36,12 +37,14 @@ import os
 import pickle
 import tempfile
 
+from repro.compiler.pipeline import options_signature
 from repro.obs.core import NULL_RECORDER
 
-#: bump when the entry format or pickled object layout changes — old
-#: entries then miss instead of unpickling garbage (2: BasicBlock grew
-#: __slots__, changing the pickled state shape of compiled programs)
-FORMAT_VERSION = 2
+#: bump when the entry format, the key shape or the pickled object
+#: layout changes — old entries then miss instead of unpickling garbage
+#: (2: BasicBlock grew __slots__; 3: the key became a hashable tuple and
+#: modules stopped carrying node statistics)
+FORMAT_VERSION = 3
 
 #: default byte cap for a store (512 MiB — thousands of compiled
 #: programs at the ~5 KiB each the registry workloads pickle to)
@@ -49,30 +52,29 @@ DEFAULT_MAX_BYTES = 512 * 1024 * 1024
 
 
 def canonical_key(key):
-    """Canonical JSON text of a key dict (stable across processes and
-    runs: sorted keys, no whitespace variance)."""
+    """Canonical JSON text of a key (stable across processes and runs:
+    sorted keys, no whitespace variance; tuples render as lists)."""
     return json.dumps(key, sort_keys=True, separators=(",", ":"), default=repr)
 
 
-def compile_key(fingerprint, options_sig, profile_key=None):
-    """The artifact-store key for one compile.
+def compile_key(fingerprint, options):
+    """The key of one compile, shared by every cache tier.
 
     ``fingerprint`` is the :func:`~repro.evaluation.runner.module_fingerprint`
-    content hash, ``options_sig`` the
-    :func:`~repro.compiler.pipeline.options_signature` pairs (strategy,
-    partitioner, partitioner_seed, optional passes), ``profile_key`` the
-    frozen profile counts a ``Pr`` compile consumed (None otherwise).
-    ``format`` pins :data:`FORMAT_VERSION` so layout changes invalidate
-    old entries wholesale.
+    content hash and ``options`` the
+    :class:`~repro.compiler.pipeline.CompileOptions`: their
+    :func:`~repro.compiler.pipeline.options_signature` pairs and the
+    frozen ``profile_counts`` a ``Pr`` compile consumes both key the
+    entry.  ``format`` pins :data:`FORMAT_VERSION` so layout changes
+    invalidate old entries wholesale.
     """
-    return {
-        "format": FORMAT_VERSION,
-        "fingerprint": fingerprint,
-        "options": [list(pair) for pair in options_sig],
-        "profile": (
-            None if profile_key is None else [list(p) for p in profile_key]
-        ),
-    }
+    counts = options.profile_counts
+    return (
+        ("format", FORMAT_VERSION),
+        ("fingerprint", fingerprint),
+        ("options", options_signature(options)),
+        ("profile", None if counts is None else tuple(sorted(counts.items()))),
+    )
 
 
 def _pickle_stripped(value):
@@ -334,34 +336,18 @@ class CompileCache:
     """In-memory compile cache tiered over an optional :class:`ArtifactStore`.
 
     Speaks the dict protocol :func:`repro.evaluation.runner._compile_cached`
-    expects — ``get(key)`` and ``cache[key] = compiled`` with the
-    in-memory 4-tuple key ``(fingerprint, strategy, profile_key,
-    partitioner)`` — and translates that tuple to the canonical
-    persistent key (:func:`compile_key` over the full
-    :func:`~repro.compiler.pipeline.options_signature`, so
-    ``partitioner_seed`` and the optional passes are pinned to their
-    defaults rather than silently ignored).
+    expects — ``get(key)`` and ``cache[key] = compiled`` — with
+    :func:`compile_key` keys, which both tiers use as they are.
 
     ``last_source`` records where the most recent lookup was satisfied:
     ``"memory"``, ``"store"``, or ``"compile"`` (a miss the caller is
     about to fill) — the serve path reports it per job.
     """
 
-    def __init__(self, store=None, memory=None):
-        self.memory = {} if memory is None else memory
+    def __init__(self, store=None):
+        self.memory = {}
         self.store = store
         self.last_source = None
-
-    @staticmethod
-    def persistent_key(key):
-        """Map the in-memory 4-tuple to the canonical store key dict."""
-        from repro.compiler.pipeline import CompileOptions, options_signature
-
-        fingerprint, strategy, profile_key, partitioner = key
-        options = CompileOptions(strategy=strategy, partitioner=partitioner)
-        return compile_key(
-            fingerprint, options_signature(options), profile_key
-        )
 
     def get(self, key):
         value = self.memory.get(key)
@@ -369,7 +355,7 @@ class CompileCache:
             self.last_source = "memory"
             return value
         if self.store is not None:
-            value = self.store.get(self.persistent_key(key))
+            value = self.store.get(key)
             if value is not None:
                 self.memory[key] = value
                 self.last_source = "store"
@@ -380,7 +366,7 @@ class CompileCache:
     def __setitem__(self, key, value):
         self.memory[key] = value
         if self.store is not None:
-            self.store.put(self.persistent_key(key), value)
+            self.store.put(key, value)
 
     def __contains__(self, key):
         return self.get(key) is not None
@@ -394,13 +380,13 @@ class CompileCache:
 _PROCESS_CACHES = {}
 
 
-def process_compile_cache(cache_dir, memory=None, max_bytes=None):
+def process_compile_cache(cache_dir, max_bytes=None):
     """The per-process :class:`CompileCache` for *cache_dir*.
 
-    ``None`` returns a memory-only cache (per-process, no persistence —
-    the pre-store behaviour).  Worker entry points call this instead of
-    constructing stores directly so every task a process runs shares one
-    memory tier and one store handle per directory.
+    ``None`` returns a memory-only cache (per-process, no persistence).
+    Worker entry points call this instead of constructing stores
+    directly so every task a process runs shares one memory tier and
+    one store handle per directory.
     """
     cache = _PROCESS_CACHES.get(cache_dir)
     if cache is None:
@@ -410,6 +396,6 @@ def process_compile_cache(cache_dir, memory=None, max_bytes=None):
                 cache_dir,
                 max_bytes=DEFAULT_MAX_BYTES if max_bytes is None else max_bytes,
             )
-        cache = CompileCache(store=store, memory=memory)
+        cache = CompileCache(store=store)
         _PROCESS_CACHES[cache_dir] = cache
     return cache

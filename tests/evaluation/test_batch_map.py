@@ -2,24 +2,16 @@
 
 Contract: same tasks, same results, regardless of whether they run as
 lockstep lanes (``backend="batch"``) or one scalar simulator per
-instance — and tasks sharing a program (by identity *or* by content
-fingerprint across independent compiles) batch together.
+instance.
 """
 
 import random
 
-import pytest
-
 from repro.compiler import compile_module
-from repro.evaluation.parallel import (
-    BatchTaskResult,
-    batch_map,
-    program_fingerprint,
-)
+from repro.evaluation.parallel import BatchTaskResult, batch_map
 from repro.obs.core import Recorder
 from repro.partition.strategies import Strategy
 from repro.workloads.kernels.fir import Fir
-from repro.workloads.kernels.iir import Iir
 
 
 def _fir_program(taps=8, samples=4, strategy=Strategy.CB):
@@ -30,12 +22,15 @@ def test_batch_matches_scalar_backends_bit_for_bit():
     rng = random.Random(5)
     program = _fir_program()
     tasks = [
-        (program, {"x": [rng.uniform(-1, 1) for _ in range(11)]}, ("y",))
+        ({"x": [rng.uniform(-1, 1) for _ in range(11)]}, ("y",))
         for _ in range(10)
     ]
-    batched = batch_map(tasks, lanes=4)  # 3 slabs: 4 + 4 + 2
+    recorder = Recorder()
+    batched = batch_map(program, tasks, lanes=4, observe=recorder)
+    assert recorder.counters["batch.slabs"] == 3  # 4 + 4 + 2
+    assert recorder.counters["batch.instances"] == 10
     for backend in ("interp", "jit"):
-        scalar = batch_map(tasks, backend=backend)
+        scalar = batch_map(program, tasks, backend=backend)
         for index in range(len(tasks)):
             assert batched[index].error is None
             assert scalar[index].error is None
@@ -49,37 +44,7 @@ def test_batch_matches_scalar_backends_bit_for_bit():
             )
 
 
-def test_independent_compiles_group_by_fingerprint():
-    a = _fir_program()
-    b = _fir_program()  # same content, different object
-    assert a is not b
-    assert program_fingerprint(a) == program_fingerprint(b)
-    recorder = Recorder()
-    tasks = [(a, {}, ("y",)), (b, {}, ("y",)), (a, {}, ("y",))]
-    results = batch_map(tasks, observe=recorder)
-    counters = recorder.counters
-    assert counters["batch.groups"] == 1
-    assert counters["batch.slabs"] == 1
-    assert counters["batch.instances"] == 3
-    assert results[0].outputs == results[1].outputs == results[2].outputs
-
-
-def test_distinct_programs_stay_in_distinct_groups():
-    fir = _fir_program()
-    iir = compile_module(Iir(2, 4).build(), strategy=Strategy.CB).program
-    assert program_fingerprint(fir) != program_fingerprint(iir)
-    recorder = Recorder()
-    results = batch_map(
-        [(fir, {}, ("y",)), (iir, {}, ()), (fir, {}, ("y",))],
-        observe=recorder,
-    )
-    assert recorder.counters["batch.groups"] == 2
-    assert results[0].outputs == results[2].outputs
-    assert all(r.error is None for r in results)
-
-
 def test_lane_errors_stay_per_task():
-    pb_program = _fir_program(strategy=Strategy.SINGLE_BANK)
     from repro.frontend import ProgramBuilder
 
     pb = ProgramBuilder("div")
@@ -89,22 +54,20 @@ def test_lane_errors_stay_per_task():
         f.assign(out[0], data[0] / data[1])
     program = compile_module(pb.build(), strategy=Strategy.SINGLE_BANK).program
     tasks = [
-        (program, {}, ("out",)),
-        (program, {"data": [1.0, 0.0]}, ("out",)),
-        (program, {"data": [3.0, 2.0]}, ("out",)),
-        (pb_program, {}, ("y",)),
+        ({}, ("out",)),
+        ({"data": [1.0, 0.0]}, ("out",)),
+        ({"data": [3.0, 2.0]}, ("out",)),
     ]
-    results = batch_map(tasks, lanes=8)
-    scalar = batch_map(tasks, backend="interp")
+    results = batch_map(program, tasks, lanes=8)
+    scalar = batch_map(program, tasks, backend="interp")
     assert results[0].error is None and results[0].outputs == {"out": 1.0}
     assert isinstance(results[1].error, ZeroDivisionError)
     assert isinstance(scalar[1].error, ZeroDivisionError)
     assert results[2].outputs == {"out": 1.5}
-    assert results[3].error is None
-    assert isinstance(results[3], BatchTaskResult)
+    assert isinstance(results[2], BatchTaskResult)
 
 
 def test_scalar_writes_and_empty_reads():
     program = _fir_program()
-    results = batch_map([(program, None, ())] * 3, lanes=2)
+    results = batch_map(program, [(None, ())] * 3, lanes=2)
     assert all(r.error is None and r.outputs == {} for r in results)

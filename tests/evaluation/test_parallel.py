@@ -17,7 +17,6 @@ from repro.evaluation.parallel import (
     WorkerDied,
     default_jobs,
     evaluate_workloads,
-    parallel_map,
     resolve_jobs,
     supervised_map,
 )
@@ -159,14 +158,15 @@ def test_parallel_matches_serial_bit_for_bit():
 
 
 # ----------------------------------------------------------------------
-# parallel_map failure semantics
+# Quick-sweep failure semantics: supervised_map(retries=0), the call
+# evaluate_workloads, partition_gap and the fuzz campaign make
 # ----------------------------------------------------------------------
 def test_parallel_map_reraises_sim_faults_with_context():
     """Simulator faults cross the pool boundary as the structured
     taxonomy, pc/backend intact, worker traceback attached — not as a
     raw pickled traceback dump."""
     with pytest.raises(MachineError) as excinfo:
-        parallel_map(_machine_fault, [(1,), (2,)], jobs=2)
+        supervised_map(_machine_fault, [(1,), (2,)], jobs=2, retries=0)
     fault = excinfo.value
     assert fault.pc == 7
     assert fault.cycle == 11
@@ -177,7 +177,7 @@ def test_parallel_map_reraises_sim_faults_with_context():
 
 def test_parallel_map_wraps_plain_exceptions():
     with pytest.raises(TaskError) as excinfo:
-        parallel_map(_fail, [(1,), (2,)], jobs=2)
+        supervised_map(_fail, [(1,), (2,)], jobs=2, retries=0)
     assert "boom" in str(excinfo.value)
     assert "ValueError" in excinfo.value.remote_traceback
     _assert_no_orphans()
@@ -185,7 +185,7 @@ def test_parallel_map_wraps_plain_exceptions():
 
 def test_parallel_map_keyboard_interrupt_leaves_no_orphans():
     with pytest.raises(KeyboardInterrupt):
-        parallel_map(_raise_interrupt, [(1,), (2,)], jobs=2)
+        supervised_map(_raise_interrupt, [(1,), (2,)], jobs=2, retries=0)
     _assert_no_orphans()
 
 

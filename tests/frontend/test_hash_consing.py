@@ -1,41 +1,14 @@
-"""Hash-consing invariants: within one build context, structural
-equality IS pointer identity; contexts never leak into each other;
-shared subtrees make rewrites reconstruct instead of mutate; and the
-interned value classes survive pickling."""
+"""Node identity without hash-consing: every construction makes a fresh
+object, so no two builds (and no two constructions within one) share a
+node; a subtree shared by reference makes rewrites reconstruct instead
+of mutate; and the slotted value classes survive pickling."""
 
-import gc
 import pickle
-
-import pytest
 
 from repro.frontend import ProgramBuilder
 from repro.frontend.expressions import wrap
-from repro.ir.intern import BuildContext, activate, current_context, retire
 from repro.ir.types import DataType
 from repro.ir.values import Immediate, Label
-
-
-@pytest.fixture(autouse=True)
-def _no_stray_contexts():
-    """Builders other tests abandoned mid-build stay alive (reference
-    cycles) until a gc pass, and their contexts with them — collect so
-    each test here starts from a clean context stack."""
-    gc.collect()
-    yield
-
-
-def test_structural_equality_is_identity_within_a_build():
-    pb = ProgramBuilder("t")
-    with pb.function("main") as f:
-        x = f.float_var("x")
-        assert (x * 2.0 + 1.0) is (x * 2.0 + 1.0)
-        assert wrap(3) is wrap(3)
-        assert (-x) is (-x)
-        assert (x < 3.0) is (x < 3.0)
-        # distinct structure stays distinct
-        assert (x + 1.0) is not (x + 2.0)
-        # int and float constants never unify, even when == would agree
-        assert wrap(3) is not wrap(3.0)
 
 
 def test_no_sharing_across_builds():
@@ -43,18 +16,21 @@ def test_no_sharing_across_builds():
     with pb1.function("main") as f:
         x = f.float_var("x")
         first = x + 1.0
-    pb1.build(validate=False)  # retires pb1's context
+    pb1.build(validate=False)
     pb2 = ProgramBuilder("b")
     with pb2.function("main") as f:
         second = wrap(1.0)
         assert second is not first.right
-    assert wrap(1.0) is second  # pb2's own table still shares
+        assert wrap(1.0) is not second
 
 
 def test_no_sharing_without_a_context():
-    assert current_context() is None
     a, b = wrap(3), wrap(3)
     assert a is not b
+    assert Immediate(3) is not Immediate(3)
+    assert Immediate(1) == Immediate(True)
+    assert Immediate(3) != Immediate(3.0)  # dtype is part of the value
+    assert Label("L1") == Label("L1") and Label("L1") != Label("L2")
 
 
 def test_shared_subtrees_make_rewrites_reconstruct():
@@ -73,45 +49,10 @@ def test_shared_subtrees_make_rewrites_reconstruct():
         assert bigger.right.value == 1.0
 
 
-def test_immediates_and_labels_intern_within_context():
-    context = activate(BuildContext())
-    try:
-        assert Immediate(3) is Immediate(3)
-        assert Immediate(3) is not Immediate(3.0)  # dtype splits the key
-        assert Immediate(3).data_type is DataType.INT
-        assert Label("L1") is Label("L1")
-        assert Label("L1") is not Label("L2")
-    finally:
-        retire(context)
-    one, other = Immediate(3), Immediate(3)
-    assert one is not other  # context gone, interning off
-
-
 def test_interned_values_pickle_cleanly():
-    context = activate(BuildContext())
-    try:
-        immediate = Immediate(7)
-        label = Label("L9")
-    finally:
-        retire(context)
+    immediate = Immediate(7)
+    label = Label("L9")
     loaded = pickle.loads(pickle.dumps(immediate))
-    assert loaded.value == 7 and loaded.data_type is immediate.data_type
+    assert loaded.value == 7 and loaded.data_type is DataType.INT
+    assert loaded == immediate
     assert pickle.loads(pickle.dumps(label)).name == "L9"
-
-
-def test_build_records_node_stats_and_retires_context():
-    pb = ProgramBuilder("t")
-    with pb.function("main") as f:
-        x = f.float_var("x")
-        first = x + 1.0
-        again = x + 1.0
-        assert first is again
-    module = pb.build(validate=False)
-    assert current_context() is None
-    stats = module.node_stats
-    assert stats["cons_hits"] >= 1
-    assert stats["nodes_created"] >= 2
-    assert 0.0 < stats["cons_hit_rate"] < 1.0
-    # build() is idempotent: a second call must not blow up on the
-    # already-retired context
-    pb.build(validate=False)

@@ -24,6 +24,8 @@ from repro.sim.simulator import Simulator
 from repro.workloads.registry import get_workload
 
 WORKLOAD = "fir_32_1"
+CB = CompileOptions(strategy=Strategy.CB)
+CB_DUP = CompileOptions(strategy=Strategy.CB_DUP)
 
 
 def _compiled(name=WORKLOAD, strategy=Strategy.CB):
@@ -117,14 +119,12 @@ def test_corrupted_compile_cache_recompiles(tmp_path):
     a recompile with the identical cycle count."""
     workload = get_workload(WORKLOAD)
     cache = CompileCache(store=ArtifactStore(tmp_path))
-    first = _compile_cached(workload, Strategy.CB, None, cache)
+    first = _compile_cached(workload, CB, cache)
     reference = Simulator(first.program).run().cycles
-    path = cache.store.path_for(
-        cache.persistent_key(next(iter(cache.memory)))
-    )
+    path = cache.store.path_for(next(iter(cache.memory)))
     _corrupt(path, lambda data: data[: len(data) // 3])
     cold = CompileCache(store=ArtifactStore(tmp_path))  # fresh memory tier
-    again = _compile_cached(workload, Strategy.CB, None, cold)
+    again = _compile_cached(workload, CB, cold)
     assert cold.last_source == "compile"
     assert cold.store.corrupt == 1
     assert Simulator(again.program).run().cycles == reference
@@ -220,32 +220,36 @@ def test_options_signature_covers_cache_relevant_fields():
 
 def test_compile_key_drifts_with_options_and_fingerprint():
     fingerprint = module_fingerprint(get_workload(WORKLOAD).build())
-    base = ArtifactStore.entry_id(
-        compile_key(fingerprint, options_signature(CompileOptions()))
-    )
+    base = compile_key(fingerprint, CompileOptions())
     for options in (
         CompileOptions(partitioner_seed=3),
         CompileOptions(partitioner="anneal"),
         CompileOptions(strategy=Strategy.IDEAL),
+        CompileOptions(software_pipelining=True),
     ):
-        drifted = ArtifactStore.entry_id(
-            compile_key(fingerprint, options_signature(options))
-        )
+        drifted = compile_key(fingerprint, options)
         assert drifted != base
+        assert ArtifactStore.entry_id(drifted) != ArtifactStore.entry_id(base)
     other = module_fingerprint(get_workload("iir_1_1").build())
-    assert ArtifactStore.entry_id(
-        compile_key(other, options_signature(CompileOptions()))
-    ) != base
+    assert compile_key(other, CompileOptions()) != base
+    # options that never change the output never split the key
+    assert compile_key(fingerprint, CompileOptions(validate=False)) == base
+    assert compile_key(
+        fingerprint, CompileOptions(observe=Recorder())
+    ) == base
 
 
 def test_profile_counts_key_the_entry():
     fingerprint = module_fingerprint(get_workload(WORKLOAD).build())
-    signature = options_signature(CompileOptions(strategy=Strategy.CB_PROFILE))
-    bare = ArtifactStore.entry_id(compile_key(fingerprint, signature))
-    profiled = ArtifactStore.entry_id(
-        compile_key(fingerprint, signature, profile_key=(("block0", 12),))
+    bare = compile_key(fingerprint, CompileOptions(strategy=Strategy.CB_PROFILE))
+    profiled = compile_key(
+        fingerprint,
+        CompileOptions(
+            strategy=Strategy.CB_PROFILE, profile_counts={"block0": 12}
+        ),
     )
     assert bare != profiled
+    assert ArtifactStore.entry_id(bare) != ArtifactStore.entry_id(profiled)
 
 
 # ---------------------------------------------------------------------
@@ -254,13 +258,13 @@ def test_profile_counts_key_the_entry():
 def test_compile_cache_tiers_memory_store_compile(tmp_path):
     workload = get_workload(WORKLOAD)
     cache = CompileCache(store=ArtifactStore(tmp_path))
-    _compile_cached(workload, Strategy.CB, None, cache)
+    _compile_cached(workload, CB, cache)
     assert cache.last_source == "compile"
-    _compile_cached(workload, Strategy.CB, None, cache)
+    _compile_cached(workload, CB, cache)
     assert cache.last_source == "memory"
     # a fresh process (fresh memory tier) hits the store
     cold = CompileCache(store=ArtifactStore(tmp_path))
-    hit = _compile_cached(workload, Strategy.CB, None, cold)
+    hit = _compile_cached(workload, CB, cold)
     assert cold.last_source == "store"
     assert Simulator(hit.program).run().cycles > 0
 
@@ -268,10 +272,10 @@ def test_compile_cache_tiers_memory_store_compile(tmp_path):
 def test_store_hit_is_bit_identical_to_recompile(tmp_path):
     workload = get_workload(WORKLOAD)
     warm = CompileCache(store=ArtifactStore(tmp_path))
-    compiled = _compile_cached(workload, Strategy.CB_DUP, None, warm)
+    compiled = _compile_cached(workload, CB_DUP, warm)
     direct = compile_module(workload.build(), strategy=Strategy.CB_DUP)
     cold = CompileCache(store=ArtifactStore(tmp_path))
-    restored = _compile_cached(workload, Strategy.CB_DUP, None, cold)
+    restored = _compile_cached(workload, CB_DUP, cold)
     assert cold.last_source == "store"
     assert (
         Simulator(restored.program).state_digest()

@@ -352,6 +352,44 @@ def test_run_command_cache_dir_warm_and_cold(capsys, tmp_path):
     assert capsys.readouterr().out == cold
 
 
+def test_run_pipeline_cache_dir_reads_through_the_store(
+    capsys, tmp_path, monkeypatch
+):
+    """`run --pipeline --cache-dir` compiles through the store: pipelined
+    and plain compiles get distinct entries, and a fresh process reads
+    the pipelined program back with the identical report."""
+    import os
+
+    import repro.serve.store as store_module
+
+    cache = str(tmp_path / "cache")
+
+    def entries():
+        return [
+            name
+            for _dir, _subdirs, names in os.walk(os.path.join(cache, "objects"))
+            for name in names
+        ]
+
+    assert main(["run", "fir_32_1", "--pipeline", "--stats"]) == 0
+    direct = capsys.readouterr().out
+    args = ["run", "fir_32_1", "--pipeline", "--stats", "--cache-dir", cache]
+    assert main(args) == 0
+    assert capsys.readouterr().out == direct
+    assert len(entries()) == 1
+    assert main(["run", "fir_32_1", "--stats", "--cache-dir", cache]) == 0
+    capsys.readouterr()
+    assert len(entries()) == 2
+    # a new process starts with an empty memory tier
+    monkeypatch.setattr(store_module, "_PROCESS_CACHES", {})
+    assert main(args) == 0
+    assert capsys.readouterr().out == direct
+    cli_cache = store_module.process_compile_cache(cache)
+    assert cli_cache.last_source == "store"
+    assert (cli_cache.store.hits, cli_cache.store.misses) == (1, 0)
+    assert len(entries()) == 2
+
+
 def test_compare_command_cache_dir(capsys, tmp_path):
     cache = str(tmp_path / "cache")
     assert (
