@@ -16,10 +16,10 @@ Three sections:
   dict) versus lightened (members stripped to per-instance fields, the
   head's recipe swapped for a content-address ref —
   :func:`~repro.serve.jobs.lighten_group`), plus the live
-  ``supervised_map`` dispatch accounting
-  (:func:`~repro.evaluation.parallel.payload_stats`) for the lightened
-  group.  The reduction is gated: hash-first dispatch must stay far
-  below the inline-recipe baseline.
+  ``supervised_map`` dispatch accounting (its recorder's
+  ``supervised.payload_bytes`` counter) for the lightened group.  The
+  reduction is gated: hash-first dispatch must stay far below the
+  inline-recipe baseline.
 
 The pytest entry point doubles as the regression gate: machine-neutral
 ratios (``warm_speedup``, ``reduction_percent``) are compared against
@@ -40,14 +40,11 @@ import tempfile
 import time
 from pathlib import Path
 
-from repro.evaluation.parallel import (
-    payload_stats,
-    reset_payload_stats,
-    supervised_map,
-)
 from repro.compiler import CompileOptions
+from repro.evaluation.parallel import supervised_map
 from repro.evaluation.runner import _compile_cached
 from repro.fuzz.generator import generate_recipe
+from repro.obs.core import Recorder
 from repro.partition.strategies import Strategy
 from repro.serve.jobs import execute_group, lighten_group
 from repro.serve.protocol import validate_job
@@ -179,13 +176,14 @@ def bench_payload(root):
     # tasks, two workers — one task would take the serial shortcut) so
     # the per-task accounting reflects live wire bytes
     other = lighten_group(_payload_group(seed=13), store=store)
-    reset_payload_stats()
+    recorder = Recorder()
     results = supervised_map(
         execute_group,
         [light_task, (other, cache_dir, 64)],
         jobs=2,
+        observe=recorder,
     )
-    stats = payload_stats()
+    tasks = recorder.counters["supervised.tasks"]
     for group_results in results:
         assert all(result["ok"] for result in group_results)
 
@@ -194,8 +192,10 @@ def bench_payload(root):
         "fat_task_bytes": fat_bytes,
         "light_task_bytes": light_bytes,
         "reduction_percent": round(100.0 * (1.0 - light_bytes / fat_bytes), 1),
-        "supervised_tasks": stats["tasks"],
-        "supervised_bytes_per_task": round(stats["bytes_per_task"], 1),
+        "supervised_tasks": tasks,
+        "supervised_bytes_per_task": round(
+            recorder.counters["supervised.payload_bytes"] / tasks, 1
+        ),
     }
 
 

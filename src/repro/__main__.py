@@ -67,9 +67,7 @@ from repro.compiler import CompileOptions, compile_module
 from repro.partition.registry import PARTITIONERS
 from repro.partition.strategies import PAPER_LABELS, Strategy
 from repro.sim.fastsim import BACKENDS, make_simulator
-from repro.sim.simulator import Simulator
 from repro.sim.statistics import utilization
-from repro.sim.tracing import collect_block_counts
 
 
 def _jobs(args):
@@ -120,33 +118,14 @@ def _cli_cache(args):
     return process_compile_cache(cache_dir)
 
 
-def _profile(workload, cache=None, partitioner="greedy"):
-    from repro.evaluation.runner import _compile_cached
-
-    compiled = _compile_cached(
-        workload,
-        CompileOptions(strategy=Strategy.SINGLE_BANK, partitioner=partitioner),
-        cache,
-    )
-    simulator = Simulator(compiled.program)
-    result = simulator.run()
-    return collect_block_counts(compiled.program, result)
-
-
 def _run_one(workload, strategy, software_pipelining=False, backend="interp",
              partitioner="greedy", cache=None):
     from repro.evaluation.runner import _compile_cached
 
-    counts = (
-        _profile(workload, cache=cache, partitioner=partitioner)
-        if strategy.needs_profile
-        else None
-    )
     compiled = _compile_cached(
         workload,
         CompileOptions(
             strategy=strategy,
-            profile_counts=counts,
             software_pipelining=software_pipelining,
             partitioner=partitioner,
         ),

@@ -11,7 +11,8 @@ over worker processes:
   :class:`~repro.evaluation.runner.Measurement` comes back;
 * every worker process reads through its per-process compile cache
   (:func:`repro.serve.store.process_compile_cache`), so the baseline
-  compile a profile-driven configuration needs is shared with the
+  compile a ``Pr`` configuration profiles
+  (:func:`~repro.evaluation.runner._compile_cached`) is shared with the
   baseline measurement whenever both land in the same worker;
 * ``jobs=None`` (or ``<= 1``) runs the exact same code path serially in
   the calling process — results are bit-identical either way, because
@@ -36,8 +37,8 @@ and content digests — never built modules or compiled programs — and
 workers rehydrate through the deterministic registry/generator plus
 the content-addressed :mod:`repro.serve.store` tier.  The supervisor
 pickles each task exactly once, so per-task pipe payload bytes are
-measured for free (``supervised.payload_bytes`` counters and
-:func:`payload_stats`, gated by ``benchmarks/bench_compiler.py``).
+measured for free (the ``supervised.payload_bytes`` counter, gated by
+``benchmarks/bench_compiler.py``).
 """
 
 import json
@@ -54,30 +55,6 @@ from repro.evaluation.runner import (
 from repro.obs.core import NULL_RECORDER
 from repro.partition.strategies import Strategy
 from repro.sim.errors import describe_fault, from_description
-from repro.sim.tracing import collect_block_counts
-
-#: cumulative supervised-dispatch payload accounting (parent side);
-#: read with :func:`payload_stats`, cleared with :func:`reset_payload_stats`
-_PAYLOAD_STATS = {"tasks": 0, "bytes": 0}
-
-
-def payload_stats():
-    """Snapshot of supervised task-payload accounting: how many task
-    sends crossed a worker pipe and how many pickled bytes they cost —
-    the quantity the hash-first protocol exists to keep small."""
-    stats = dict(_PAYLOAD_STATS)
-    stats["bytes_per_task"] = (
-        stats["bytes"] / stats["tasks"] if stats["tasks"] else 0.0
-    )
-    return stats
-
-
-def reset_payload_stats():
-    """Zero the payload accounting (benchmarks bracket a dispatch with
-    this and :func:`payload_stats` to isolate one run's wire bytes)."""
-    _PAYLOAD_STATS["tasks"] = 0
-    _PAYLOAD_STATS["bytes"] = 0
-
 
 def _send_task(connection, index, fn, arguments, observe=NULL_RECORDER):
     """Ship one task, pickling exactly once so its payload is measured.
@@ -86,8 +63,6 @@ def _send_task(connection, index, fn, arguments, observe=NULL_RECORDER):
     with ``Connection.recv()`` on the worker side.
     """
     payload = pickle.dumps((index, fn, arguments))
-    _PAYLOAD_STATS["tasks"] += 1
-    _PAYLOAD_STATS["bytes"] += len(payload)
     observe.counter("supervised.payload_bytes", len(payload))
     connection.send_bytes(payload)
 
@@ -861,31 +836,15 @@ def supervised_map(fn, argument_tuples, jobs=None, timeout=None, retries=2,
     return results
 
 
-def _profile_counts(workload, backend, cache):
-    """Block counts of the single-bank baseline (deterministic, so a
-    worker recomputing them gets the same answer the serial path does)."""
-    _measurement, compiled, result = _run_once(
-        workload, Strategy.SINGLE_BANK, verify=False, backend=backend,
-        cache=cache,
-    )
-    return collect_block_counts(compiled.program, result)
-
-
 def _measure_pair(name, strategy_name, backend, verify, partitioner="greedy",
                   cache_dir=None):
     """Worker entry point: one (workload, strategy) measurement."""
     from repro.serve.store import process_compile_cache
     from repro.workloads.registry import get_workload
 
-    workload = get_workload(name)
-    strategy = Strategy[strategy_name]
-    cache = process_compile_cache(cache_dir)
-    counts = None
-    if strategy.needs_profile:
-        counts = _profile_counts(workload, backend, cache)
     measurement, _compiled, _result = _run_once(
-        workload, strategy, profile_counts=counts, verify=verify,
-        backend=backend, cache=cache, partitioner=partitioner,
+        get_workload(name), Strategy[strategy_name], verify=verify, backend=backend,
+        cache=process_compile_cache(cache_dir), partitioner=partitioner,
     )
     return name, measurement
 

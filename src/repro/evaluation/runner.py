@@ -7,6 +7,8 @@ the baseline binary first and feeds block execution counts to the
 allocation pass as edge weights.
 """
 
+import copy
+
 from repro.compiler import CompileOptions, compile_module
 from repro.cost.model import CostModel
 from repro.partition.strategies import Strategy
@@ -106,8 +108,9 @@ def module_fingerprint(module):
     return digest.hexdigest()
 
 
-def _compile_cached(workload, options, cache):
-    """Compile *workload* under *options* (a
+def _compile_cached(source, options, cache):
+    """Compile *source* (anything with a ``.build()`` returning a fresh
+    module) under *options* (a
     :class:`~repro.compiler.pipeline.CompileOptions`), consulting the
     content-keyed *cache*.
 
@@ -117,28 +120,67 @@ def _compile_cached(workload, options, cache):
     immutable under simulation (each simulator run owns fresh memory),
     so cache hits skip the whole compile pipeline.  ``cache=None``
     compiles directly.
+
+    This is the one place a ``Pr`` compile gets its profile: when the
+    strategy needs one and ``options.profile_counts`` is None, the
+    single-bank baseline of the same module is looked up in (or compiled
+    into) the same *cache* under the same partitioner, and its block
+    counts (:func:`_block_counts`) become the compile's edge weights.
     """
-    module = workload.build()
+    module = source.build()
+    fingerprint = None if cache is None else module_fingerprint(module)
+    if options.strategy.needs_profile and options.profile_counts is None:
+        baseline = _lookup(
+            source.build,
+            fingerprint,
+            CompileOptions(
+                strategy=Strategy.SINGLE_BANK, partitioner=options.partitioner
+            ),
+            cache,
+        )
+        options = copy.copy(options)
+        options.profile_counts = _block_counts(baseline)
+    return _lookup(lambda: module, fingerprint, options, cache)
+
+
+def _lookup(build, fingerprint, options, cache):
+    """The compile under *options* of the module ``build()`` returns
+    (whose content hash is *fingerprint*), read from *cache*; ``build``
+    runs only on a miss."""
     if cache is None:
-        return compile_module(module, options)
+        return compile_module(build(), options)
     from repro.serve.store import compile_key  # repro.serve imports us
 
-    key = compile_key(module_fingerprint(module), options)
+    key = compile_key(fingerprint, options)
     compiled = cache.get(key)
     if compiled is None:
-        compiled = compile_module(module, options)
+        compiled = compile_module(build(), options)
         cache[key] = compiled
     return compiled
 
 
-def _run_once(workload, strategy, profile_counts=None, verify=True,
-              backend="interp", cache=None, partitioner="greedy"):
+def _block_counts(baseline, result=None):
+    """Block execution counts of the compiled single-bank *baseline*,
+    memoized on it so no baseline is simulated twice.
+
+    *result* is a finished run of the baseline on any backend (block
+    counts are backend-invariant); without one the baseline runs once
+    on the reference interpreter.
+    """
+    counts = getattr(baseline, "_block_counts", None)
+    if counts is None:
+        if result is None:
+            result = make_simulator(baseline.program).run()
+        counts = collect_block_counts(baseline.program, result)
+        baseline._block_counts = counts
+    return counts
+
+
+def _run_once(workload, strategy, verify=True, backend="interp", cache=None,
+              partitioner="greedy"):
     compiled = _compile_cached(
         workload,
-        CompileOptions(
-            strategy=strategy, profile_counts=profile_counts,
-            partitioner=partitioner,
-        ),
+        CompileOptions(strategy=strategy, partitioner=partitioner),
         cache,
     )
     simulator = make_simulator(compiled.program, backend=backend)
@@ -165,24 +207,23 @@ def evaluate_workload(workload, strategies, verify=True, backend="interp",
     optional dict (or :class:`~repro.serve.store.CompileCache`) used as
     a content-keyed compiled-program cache shared across evaluations.
     """
+    if cache is None:
+        cache = {}
     measurements = {}
     baseline, base_compiled, base_result = _run_once(
         workload, Strategy.SINGLE_BANK, verify=verify, backend=backend,
-        cache=cache,
+        cache=cache, partitioner=partitioner,
     )
     measurements[Strategy.SINGLE_BANK] = baseline
-    profile = None
+    if any(strategy.needs_profile for strategy in strategies):
+        # seed the Pr profile from the run just made
+        _block_counts(base_compiled, base_result)
     for strategy in strategies:
         if strategy is Strategy.SINGLE_BANK:
             continue
-        counts = None
-        if strategy.needs_profile:
-            if profile is None:
-                profile = collect_block_counts(base_compiled.program, base_result)
-            counts = profile
         measurement, _compiled, _result = _run_once(
-            workload, strategy, profile_counts=counts, verify=verify,
-            backend=backend, cache=cache, partitioner=partitioner,
+            workload, strategy, verify=verify, backend=backend,
+            cache=cache, partitioner=partitioner,
         )
         measurements[strategy] = measurement
     return WorkloadEvaluation(workload.name, workload.category, measurements)

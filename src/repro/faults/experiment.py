@@ -173,28 +173,10 @@ def run_experiment(workload, strategy, seed, backend="interp", events=3,
     """
     from repro.compiler import CompileOptions
     from repro.evaluation.runner import _compile_cached
-    from repro.sim.tracing import collect_block_counts
 
-    counts = None
-    if strategy.needs_profile:
-        profile_key = ("faults-profile", workload.name)
-        counts = None if cache is None else cache.get(profile_key)
-        if counts is None:
-            from repro.partition.strategies import Strategy
-
-            baseline = _compile_cached(
-                workload, CompileOptions(strategy=Strategy.SINGLE_BANK), cache
-            )
-            counts = collect_block_counts(
-                baseline.program, make_simulator(baseline.program).run()
-            )
-            if cache is not None:
-                cache[profile_key] = counts
     compiled = _compile_cached(
         workload,
-        CompileOptions(
-            strategy=strategy, profile_counts=counts, partitioner=partitioner
-        ),
+        CompileOptions(strategy=strategy, partitioner=partitioner),
         cache,
     )
     reference_key = (

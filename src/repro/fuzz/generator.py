@@ -104,6 +104,12 @@ class Recipe:
     def from_json(cls, text):
         return cls.from_dict(json.loads(text))
 
+    def build(self):
+        """A fresh module of this recipe (:func:`build_module`), so a
+        recipe is a compile source for
+        :func:`repro.evaluation.runner._compile_cached`."""
+        return build_module(self)
+
     def __eq__(self, other):
         return isinstance(other, Recipe) and self.to_dict() == other.to_dict()
 

@@ -4,7 +4,11 @@ For each generated module the oracle checks, in order:
 
 1. **Build determinism** — rebuilding the module from its recipe yields
    a fingerprint-identical module (the content key the compile cache and
-   the shrinker both rely on).
+   the shrinker both rely on), and compiling that second build under
+   ``CB_DUP`` emits the same instructions and function entries as the
+   first: every later stage shares one compiled program per
+   (strategy, partitioner) across backends, so compile determinism is
+   checked here instead.
 2. **Strategy semantics** — under every strategy in
    :data:`ORACLE_STRATEGIES` the final value of every global symbol
    equals what the sequential IR walker (:class:`IRInterpreter`, the
@@ -47,14 +51,14 @@ Any violation raises :class:`OracleViolation` carrying the recipe, so a
 failure is self-contained and replayable.
 """
 
-from repro.compiler import compile_module
+from repro.compiler import CompileOptions, compile_module
+from repro.evaluation.runner import _compile_cached, module_fingerprint
 from repro.fuzz.generator import build_module
 from repro.ir.interp import IRInterpreter
 from repro.partition.strategies import Strategy
 from repro.sim.fastsim import make_simulator
 from repro.sim.interrupts import InterruptInjector
-from repro.sim.simulator import SimulationError, Simulator
-from repro.sim.tracing import collect_block_counts
+from repro.sim.simulator import SimulationError
 
 #: the paper's five headline configurations (None/CB/Pr/Dup/Ideal)
 ORACLE_STRATEGIES = (
@@ -100,6 +104,8 @@ class OracleReport:
         self.duplicated = {}
         #: interrupt deliveries summed over all runs
         self.interrupts_delivered = 0
+        #: global -> final value under the sequential IR walker
+        self.reference = None
 
     def __repr__(self):
         return "<OracleReport cycles=%r>" % (
@@ -125,12 +131,6 @@ def _reference_state(recipe):
     return _global_state(interpreter.read_global, module)
 
 
-def _profile_counts(recipe):
-    compiled = compile_module(build_module(recipe), strategy=Strategy.SINGLE_BANK)
-    simulator = Simulator(compiled.program)
-    return collect_block_counts(compiled.program, simulator.run())
-
-
 class _Observation:
     """Everything one (strategy, backend) run exposes for comparison."""
 
@@ -143,13 +143,24 @@ class _Observation:
         }
 
 
-def _run_config(recipe, strategy, backend, profile_counts,
-                partitioner="greedy"):
-    module = build_module(recipe)
-    compiled = compile_module(
-        module, strategy=strategy, profile_counts=profile_counts,
-        partitioner=partitioner,
-    )
+def _compiled(recipe, strategy, cache, partitioner="greedy"):
+    """*recipe* compiled under *strategy*, once per *cache*: the dict
+    :func:`check_recipe` shares across stages and backends.  It holds
+    each program under ``(strategy, partitioner)``, so a repeat costs no
+    rebuild, and under its compile key
+    (:func:`~repro.evaluation.runner._compile_cached`)."""
+    key = (strategy, partitioner)
+    if key not in cache:
+        cache[key] = _compile_cached(
+            recipe,
+            CompileOptions(strategy=strategy, partitioner=partitioner),
+            cache,
+        )
+    return cache[key]
+
+
+def _run_config(recipe, strategy, backend, cache, partitioner="greedy"):
+    compiled = _compiled(recipe, strategy, cache, partitioner)
     hook = None
     if recipe.interrupt_period:
         hook = InterruptInjector(
@@ -175,15 +186,17 @@ def check_recipe(recipe, strategies=ORACLE_STRATEGIES, backends=ORACLE_BACKENDS,
     (:func:`check_partitioner_identity`); fewer than two entries skip
     the stage — one partitioner has nothing to differ from.
     """
+    cache = {}
     try:
-        report = _check(recipe, strategies, backends)
+        report = _check(recipe, strategies, backends, cache)
         if partitioners is not None and len(partitioners) > 1:
             check_partitioner_identity(
-                recipe, report, partitioners=partitioners
+                recipe, report, partitioners=partitioners, cache=cache
             )
         if fault_seed is not None:
             check_fault_identity(
-                recipe, fault_seed, strategies=strategies, backends=backends
+                recipe, fault_seed, strategies=strategies, backends=backends,
+                cache=cache,
             )
         return report
     except OracleViolation as violation:
@@ -192,7 +205,7 @@ def check_recipe(recipe, strategies=ORACLE_STRATEGIES, backends=ORACLE_BACKENDS,
 
 
 def check_fault_identity(recipe, fault_seed, strategies=ORACLE_STRATEGIES,
-                         backends=ORACLE_BACKENDS):
+                         backends=ORACLE_BACKENDS, cache=None):
     """Oracle stage 6: identical fault-outcome classification everywhere.
 
     For each strategy, arms the same seeded
@@ -201,21 +214,17 @@ def check_fault_identity(recipe, fault_seed, strategies=ORACLE_STRATEGIES,
     :func:`repro.faults.experiment.comparable` projections agree —
     outcome class, injector record, and (for completed runs) the full
     architectural state digest.  Raises :class:`OracleViolation` with
-    stage ``"fault-identity"`` on any divergence.
+    stage ``"fault-identity"`` on any divergence.  *cache* is the
+    recipe's program dict (see :func:`_compiled`).
     """
     from repro.faults.experiment import comparable, reference_run, run_with_plan
     from repro.faults.plan import generate_plan
 
-    profile = None
+    cache = {} if cache is None else cache
     for strategy in strategies:
-        if strategy.needs_profile and profile is None:
-            profile = _profile_counts(recipe)
-        counts = profile if strategy.needs_profile else None
+        compiled = _compiled(recipe, strategy, cache)
         results = {}
         for backend in backends:
-            compiled = compile_module(
-                build_module(recipe), strategy=strategy, profile_counts=counts
-            )
             try:
                 reference = reference_run(compiled.program, backend=backend)
                 plan = generate_plan(fault_seed, horizon=reference[0])
@@ -251,7 +260,7 @@ def check_fault_identity(recipe, fault_seed, strategies=ORACLE_STRATEGIES,
 
 def check_partitioner_identity(recipe, report=None,
                                partitioners=ORACLE_PARTITIONERS,
-                               backend="interp"):
+                               backend="interp", cache=None):
     """Oracle stage 7: program semantics are partitioner-invariant.
 
     Re-runs the partitioned strategies (:data:`_PARTITIONED_STRATEGIES`)
@@ -265,11 +274,14 @@ def check_partitioner_identity(recipe, report=None,
     state is bit-identical across partitioners: a partitioner may only
     move the cut cost, never what the program computes.  Raises
     :class:`OracleViolation` with stage ``"partitioner-identity"`` on
-    any divergence.
+    any divergence.  *cache* is the recipe's program dict (see
+    :func:`_compiled`; the greedy leg reuses the main stages' programs).
     """
-    reference = _reference_state(recipe)
-    baseline = ideal = None
-    if report is not None:
+    cache = {} if cache is None else cache
+    if report is None:
+        reference, baseline, ideal = _reference_state(recipe), None, None
+    else:
+        reference = report.reference
         baseline = report.cycles.get(Strategy.SINGLE_BANK)
         ideal = report.cycles.get(Strategy.IDEAL)
     for strategy in _PARTITIONED_STRATEGIES:
@@ -277,7 +289,7 @@ def check_partitioner_identity(recipe, report=None,
         for partitioner in partitioners:
             try:
                 compiled, simulator, result, _hook = _run_config(
-                    recipe, strategy, backend, None, partitioner=partitioner
+                    recipe, strategy, backend, cache, partitioner=partitioner
                 )
             except SimulationError as fault:
                 raise OracleViolation(
@@ -324,29 +336,38 @@ def check_partitioner_identity(recipe, report=None,
                 )
 
 
-def _check(recipe, strategies, backends):
-    from repro.evaluation.runner import module_fingerprint
+def _listing(compiled):
+    program = compiled.program
+    return (
+        [repr(instruction) for instruction in program.instructions],
+        program.function_entries,
+    )
 
+
+def _check(recipe, strategies, backends, cache):
     first = module_fingerprint(build_module(recipe))
-    second = module_fingerprint(build_module(recipe))
-    if first != second:
+    module = build_module(recipe)
+    if module_fingerprint(module) != first:
         raise OracleViolation(
             "build-determinism",
             "rebuilding the module changed its fingerprint",
         )
+    fresh = compile_module(module, strategy=Strategy.CB_DUP)
+    if _listing(fresh) != _listing(_compiled(recipe, Strategy.CB_DUP, cache)):
+        raise OracleViolation(
+            "build-determinism",
+            "compiling the module twice under CB_DUP emitted different "
+            "programs",
+        )
 
-    reference = _reference_state(recipe)
     report = OracleReport()
-    profile = None
+    reference = report.reference = _reference_state(recipe)
     for strategy in strategies:
-        if strategy.needs_profile and profile is None:
-            profile = _profile_counts(recipe)
-        counts = profile if strategy.needs_profile else None
         observations = {}
         for backend in backends:
             try:
                 compiled, simulator, result, hook = _run_config(
-                    recipe, strategy, backend, counts
+                    recipe, strategy, backend, cache
                 )
             except SimulationError as fault:
                 raise OracleViolation(

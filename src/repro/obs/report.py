@@ -55,21 +55,19 @@ def _resolve_workload(workload):
     return workload
 
 
-def _measure(workload, strategy, backend, profile_counts=None, verify=True,
-             partitioner="greedy"):
+def _measure(workload, strategy, backend, verify=True, partitioner="greedy"):
     """One instrumented compile + simulate + verify + profile."""
-    from repro.compiler import CompileOptions, compile_module
+    from repro.compiler import CompileOptions
+    from repro.evaluation.runner import _compile_cached
     from repro.sim.fastsim import make_simulator
 
     recorder = Recorder()
-    compiled = compile_module(
-        workload.build(),
+    compiled = _compile_cached(
+        workload,
         CompileOptions(
-            strategy=strategy,
-            profile_counts=profile_counts,
-            observe=recorder,
-            partitioner=partitioner,
+            strategy=strategy, observe=recorder, partitioner=partitioner
         ),
+        None,
     )
     simulator = make_simulator(compiled.program, backend=backend)
     result = simulator.run()
@@ -93,11 +91,10 @@ def _pass_rows(recorder):
     return rows
 
 
-def _configuration(workload, strategy, backend, top, profile_counts=None,
-                   verify=True, partitioner="greedy"):
+def _configuration(workload, strategy, backend, top, verify=True,
+                   partitioner="greedy"):
     recorder, compiled, result = _measure(
-        workload, strategy, backend, profile_counts=profile_counts,
-        verify=verify, partitioner=partitioner,
+        workload, strategy, backend, verify=verify, partitioner=partitioner
     )
     profile = profile_run(compiled.program, result)
     compile_span = recorder.find("compile")
@@ -143,28 +140,17 @@ def build_report(workload, strategy=Strategy.CB,
         the ``partition`` compile pass row carries the name, so reports
         under different partitioners stay distinguishable.
     """
-    from repro.sim.tracing import collect_block_counts
-
     workload = _resolve_workload(workload)
     strategy = _resolve_strategy(strategy)
     baseline = _resolve_strategy(baseline)
 
-    profile_counts = None
-    if strategy.needs_profile or baseline.needs_profile:
-        _recorder, compiled, result = _measure(
-            workload, Strategy.SINGLE_BANK, backend, verify=False
-        )
-        profile_counts = collect_block_counts(compiled.program, result)
-
     base = _configuration(
-        workload, baseline, backend, top,
-        profile_counts=profile_counts if baseline.needs_profile else None,
-        verify=verify, partitioner=partitioner,
+        workload, baseline, backend, top, verify=verify,
+        partitioner=partitioner,
     )
     target = _configuration(
-        workload, strategy, backend, top,
-        profile_counts=profile_counts if strategy.needs_profile else None,
-        verify=verify, partitioner=partitioner,
+        workload, strategy, backend, top, verify=verify,
+        partitioner=partitioner,
     )
 
     base_cycles = base["cycles"]

@@ -99,36 +99,19 @@ class _JobSource:
 def compile_for_job(job, cache):
     """Compile the program a job names, reading through *cache*.
 
-    Handles the profile-driven strategies the same way the evaluation
-    runner does: the single-bank baseline is compiled (cached) and
-    simulated once to collect block counts, which then key the profiled
-    compile.  Returns ``(compiled, source)`` where *source* says where
-    the final compile came from (``memory``/``store``/``compile``).
+    A profile-driven strategy gets its block counts from
+    :func:`~repro.evaluation.runner._compile_cached`, the one producer
+    of ``Pr`` profiles.  Returns ``(compiled, source)`` where *source*
+    says where the compile came from (``memory``/``store``/``compile``).
     """
     from repro.compiler import CompileOptions
     from repro.partition.strategies import Strategy
-    from repro.sim.fastsim import make_simulator
-    from repro.sim.tracing import collect_block_counts
 
-    source = _JobSource(job, store=getattr(cache, "store", None))
-    strategy = Strategy[job["strategy"]]
-    partitioner = job["partitioner"]
-    profile_counts = None
-    if strategy.needs_profile:
-        baseline = _compile_cached(
-            source,
-            CompileOptions(
-                strategy=Strategy.SINGLE_BANK, partitioner=partitioner
-            ),
-            cache,
-        )
-        result = make_simulator(baseline.program).run()
-        profile_counts = collect_block_counts(baseline.program, result)
     compiled = _compile_cached(
-        source,
+        _JobSource(job, store=getattr(cache, "store", None)),
         CompileOptions(
-            strategy=strategy, profile_counts=profile_counts,
-            partitioner=partitioner,
+            strategy=Strategy[job["strategy"]],
+            partitioner=job["partitioner"],
         ),
         cache,
     )
@@ -243,11 +226,15 @@ def execute_group(jobs, cache_dir=None, lanes=64):
     faulting lane cannot take down its group-mates.  Returns results in
     job order, JSON-able throughout.
     """
-    from repro.evaluation.parallel import batch_map
+    return _execute(jobs, process_compile_cache(cache_dir), lanes)
 
+
+def _execute(jobs, cache, lanes=64):
+    """The body of :func:`execute_group` and :func:`execute_job`: one
+    compile of ``jobs[0]`` through *cache*, then one batched run."""
+    from repro.evaluation.parallel import batch_map
     from repro.sim.errors import categorize
 
-    cache = process_compile_cache(cache_dir)
     compile_start = time.perf_counter()
     try:
         compiled, cache_source = compile_for_job(jobs[0], cache)
@@ -318,30 +305,11 @@ def execute_group(jobs, cache_dir=None, lanes=64):
 def execute_job(job, cache=None, cache_dir=None):
     """Run one job directly (no queue, no pool) and return its result
     dict — the reference the service's responses must be bit-identical
-    to.  *cache* is any compile cache (dict or
-    :class:`~repro.serve.store.CompileCache`); *cache_dir* instead
-    routes through the per-process store cache like the service does.
+    to, computed by the service's own group body.  *cache* is any
+    compile cache (dict or :class:`~repro.serve.store.CompileCache`);
+    without one, *cache_dir* routes through the per-process store cache
+    like the service does.
     """
-    if cache is not None:
-        from repro.evaluation.parallel import batch_map
-
-        compile_start = time.perf_counter()
-        compiled, cache_source = compile_for_job(job, cache)
-        compile_s = time.perf_counter() - compile_start
-        global_names = sorted(
-            symbol.name for symbol in compiled.program.module.globals
-        )
-        outcome = batch_map(
-            compiled.program,
-            [(job.get("writes") or {}, tuple(global_names))],
-            backend=job["backend"],
-        )[0]
-        obs = {
-            "group": 1,
-            "backend_executed": job["backend"],
-            "cache": cache_source,
-            "compile_s": round(compile_s, 6),
-            "sim_s": None,
-        }
-        return _result_for(job, outcome, global_names, obs)
-    return execute_group([job], cache_dir=cache_dir)[0]
+    if cache is None:
+        cache = process_compile_cache(cache_dir)
+    return _execute([job], cache)[0]

@@ -380,7 +380,7 @@ class CompileCache:
 _PROCESS_CACHES = {}
 
 
-def process_compile_cache(cache_dir, max_bytes=None):
+def process_compile_cache(cache_dir):
     """The per-process :class:`CompileCache` for *cache_dir*.
 
     ``None`` returns a memory-only cache (per-process, no persistence).
@@ -390,12 +390,7 @@ def process_compile_cache(cache_dir, max_bytes=None):
     """
     cache = _PROCESS_CACHES.get(cache_dir)
     if cache is None:
-        store = None
-        if cache_dir is not None:
-            store = ArtifactStore(
-                cache_dir,
-                max_bytes=DEFAULT_MAX_BYTES if max_bytes is None else max_bytes,
-            )
+        store = None if cache_dir is None else ArtifactStore(cache_dir)
         cache = CompileCache(store=store)
         _PROCESS_CACHES[cache_dir] = cache
     return cache

@@ -84,6 +84,26 @@ def test_writes_change_results_identically(tmp_path):
     assert event["outputs"]["y"] == reference["outputs"]["y"]
 
 
+def test_execute_job_with_a_cache_runs_the_group_body():
+    """``execute_job(job, cache=...)`` answers exactly like the service:
+    a write to an unknown global is a BadWrite fault, not a raised
+    KeyError, and the timing fields are filled in."""
+    from repro.serve.jobs import execute_group
+    from repro.serve.protocol import validate_job
+
+    job = validate_job({"kind": "run", "workload": "fir_32_1",
+                        "writes": {"nosuch": 1}})
+    direct = execute_job(job, cache={})
+    assert direct["ok"] is False
+    assert direct["fault"] == execute_group([job])[0]["fault"]
+    assert direct["fault"]["kind"] == "BadWrite"
+
+    clean = execute_job(validate_job({"kind": "run",
+                                      "workload": "fir_32_1"}), cache={})
+    assert clean["ok"] is True
+    assert clean["obs"]["sim_s"] is not None
+
+
 # ---------------------------------------------------------------------
 # Coalescing
 # ---------------------------------------------------------------------
